@@ -271,6 +271,12 @@ fn main() {
     scenario_rows.push(row);
     digests.push(digest);
 
+    // Export before the smoke early return, so `--smoke` runs honour
+    // `M2M_TRACE_OUT` like full runs.
+    if let Some(path) = telemetry::export_if_requested() {
+        m2m_log!(Level::Info, "exported telemetry snapshot to {path}");
+    }
+
     if smoke {
         // Machine-readable lines for scripts/verify.sh: one digest per
         // scenario, stable across reruns and thread counts.
@@ -310,7 +316,4 @@ fn main() {
         })
         .with("scenarios", JsonValue::Array(scenario_rows));
     m2m_bench::report::write_report(&out_path, &report);
-    if let Some(path) = telemetry::export_if_requested() {
-        m2m_log!(Level::Info, "exported telemetry snapshot to {path}");
-    }
 }

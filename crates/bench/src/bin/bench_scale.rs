@@ -231,6 +231,12 @@ fn main() {
         smoke_point = Some(point);
     }
 
+    // Export before the smoke early return, so `--smoke` runs honour
+    // `M2M_TRACE_OUT` like full runs.
+    if let Some(path) = telemetry::export_if_requested() {
+        m2m_log!(Level::Info, "exported telemetry snapshot to {path}");
+    }
+
     if smoke {
         let point = smoke_point.expect("smoke point ran");
         println!(
@@ -246,7 +252,4 @@ fn main() {
         .with("seed", SEED)
         .with("sizes", JsonValue::Array(rows));
     m2m_bench::report::write_report(&out_path, &report);
-    if let Some(path) = telemetry::export_if_requested() {
-        m2m_log!(Level::Info, "exported telemetry snapshot to {path}");
-    }
 }

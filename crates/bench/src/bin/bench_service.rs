@@ -267,6 +267,12 @@ fn main() {
         );
     }
 
+    // Export before the smoke early return, so `--smoke` runs honour
+    // `M2M_TRACE_OUT` like full runs.
+    if let Some(path) = telemetry::export_if_requested() {
+        m2m_log!(Level::Info, "exported telemetry snapshot to {path}");
+    }
+
     println!("smoke_svc_admits_per_sec={admits_per_sec:.2}");
     println!("smoke_svc_digest=0x{digest:016x}");
     println!("smoke_svc_marginal_64_pct={:.3}", marginal_64 * 100.0);
@@ -333,9 +339,6 @@ fn main() {
                 .with("replay", "bit-identical"),
         );
     m2m_bench::report::write_report(&cli.out_path, &report);
-    if let Some(path) = telemetry::export_if_requested() {
-        m2m_log!(Level::Info, "exported telemetry snapshot to {path}");
-    }
 }
 
 /// `--check`: parse an artifact and assert the schema the gate relies

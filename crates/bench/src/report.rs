@@ -79,14 +79,19 @@ pub struct BenchCli {
 
 impl BenchCli {
     /// Parses `std::env::args`, defaulting the output to `default_out`.
-    ///
-    /// # Panics
-    /// Panics on an unparseable `--nodes` list or a non-numeric count.
+    /// An unknown `--flag`, an unparseable `--nodes` list or a
+    /// non-numeric count prints a usage error and exits with status 2.
     pub fn parse(default_out: &str) -> Self {
-        Self::parse_from(std::env::args().skip(1).collect(), default_out)
+        Self::parse_from(std::env::args().skip(1).collect(), default_out).unwrap_or_else(|e| {
+            eprintln!(
+                "error: {e}\nusage: [--smoke] [--check [artifact.json]] \
+                 [--nodes N1,N2,...] [output.json] [count]"
+            );
+            std::process::exit(2)
+        })
     }
 
-    fn parse_from(args: Vec<String>, default_out: &str) -> Self {
+    fn parse_from(args: Vec<String>, default_out: &str) -> Result<Self, String> {
         let mut cli = BenchCli {
             smoke: false,
             check: None,
@@ -120,8 +125,14 @@ impl BenchCli {
                 cli.nodes = list
                     .split(',')
                     .filter(|s| !s.is_empty())
-                    .map(|s| s.parse().expect("--nodes takes a comma list of sizes"))
-                    .collect();
+                    .map(|s| {
+                        s.parse().map_err(|_| {
+                            format!("--nodes takes a comma list of sizes, got '{list}'")
+                        })
+                    })
+                    .collect::<Result<_, _>>()?;
+            } else if arg.starts_with("--") {
+                return Err(format!("unknown flag '{arg}'"));
             } else {
                 positional.push(arg);
             }
@@ -132,9 +143,13 @@ impl BenchCli {
         }
         cli.count = positional
             .get(1)
-            .map(|s| s.parse().expect("count argument must be an integer"));
+            .map(|s| {
+                s.parse()
+                    .map_err(|_| format!("count argument must be an integer, got '{s}'"))
+            })
+            .transpose()?;
         cli.rest = positional.iter().skip(2).map(|s| s.to_string()).collect();
-        cli
+        Ok(cli)
     }
 }
 
@@ -244,25 +259,37 @@ mod tests {
     #[test]
     fn cli_parses_flags_and_positionals() {
         let argv = |list: &[&str]| list.iter().map(|s| (*s).to_string()).collect();
-        let cli = BenchCli::parse_from(argv(&["--smoke", "out.json", "9"]), "D.json");
+        let cli = BenchCli::parse_from(argv(&["--smoke", "out.json", "9"]), "D.json").unwrap();
         assert!(cli.smoke);
         assert_eq!(cli.check, None);
         assert_eq!(cli.out_path, "out.json");
         assert_eq!(cli.count, Some(9));
 
-        let cli = BenchCli::parse_from(argv(&["--nodes", "50,100"]), "D.json");
+        let cli = BenchCli::parse_from(argv(&["--nodes", "50,100"]), "D.json").unwrap();
         assert_eq!(cli.nodes, vec![50, 100]);
         assert_eq!(cli.out_path, "D.json");
         assert_eq!(cli.count, None);
 
-        let cli = BenchCli::parse_from(argv(&["--nodes=250", "--check", "a.json"]), "D.json");
+        let cli =
+            BenchCli::parse_from(argv(&["--nodes=250", "--check", "a.json"]), "D.json").unwrap();
         assert_eq!(cli.nodes, vec![250]);
         assert_eq!(cli.check.as_deref(), Some("a.json"));
 
         // `--check` with no value defaults to the binary's artifact.
-        let cli = BenchCli::parse_from(argv(&["--check", "--smoke"]), "D.json");
+        let cli = BenchCli::parse_from(argv(&["--check", "--smoke"]), "D.json").unwrap();
         assert_eq!(cli.check.as_deref(), Some("D.json"));
         assert!(cli.smoke);
+    }
+
+    #[test]
+    fn cli_rejects_unknown_flags_and_bad_values() {
+        let argv = |list: &[&str]| list.iter().map(|s| (*s).to_string()).collect();
+        let err = BenchCli::parse_from(argv(&["--out", "x.json"]), "D.json").unwrap_err();
+        assert!(err.contains("--out"), "{err}");
+        let err = BenchCli::parse_from(argv(&["--nodes", "50,x"]), "D.json").unwrap_err();
+        assert!(err.contains("--nodes"), "{err}");
+        let err = BenchCli::parse_from(argv(&["out.json", "nine"]), "D.json").unwrap_err();
+        assert!(err.contains("count"), "{err}");
     }
 
     #[test]

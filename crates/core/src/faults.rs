@@ -6,14 +6,20 @@
 //! an optimal static plan meets lossy links. This module closes that gap
 //! in three pieces:
 //!
-//! * [`FaultyExec`] — a loss-aware mode of [`CompiledSchedule`]: the TDMA
-//!   slot schedule is simulated against a seeded
-//!   [`DeliveryModel`] (uniform Bernoulli, per-link ETX-derived, or a
-//!   scripted [`m2m_netsim::failure::FailureTrace`]), each message retried
-//!   under a [`RetryPolicy`] with every attempt charged through the Mica2
-//!   energy model; the compiled op stream is then replayed over whatever
-//!   actually arrived, producing per-destination results, coverage
-//!   fractions, and missing-source sets ([`FaultOutcome`]).
+//! * [`FaultyExec`] — a loss-aware mode of [`CompiledSchedule`], run in
+//!   two phases. **Phase A** (`simulate_delivery`) sweeps the TDMA slot
+//!   schedule against a seeded [`DeliveryModel`] (uniform Bernoulli,
+//!   per-link ETX-derived, or a scripted
+//!   [`m2m_netsim::failure::FailureTrace`]), retrying each message under
+//!   a [`RetryPolicy`], and leaves a delivery record: which messages were
+//!   delivered or dropped, how many attempts each took. The **settle**
+//!   pass then turns that record into the [`FaultOutcome`]: every
+//!   attempt charged through the Mica2 energy model, per-link failure
+//!   events, the per-node planes, and one walk of the compiled op stream
+//!   over whatever actually arrived — per-destination results, coverage
+//!   fractions and missing-source sets. The event-driven runtime in
+//!   [`crate::sim`] only replaces Phase A: sim = settle(event-wheel
+//!   delivery).
 //! * [`DegradationTracker`] — per-destination staleness: how many
 //!   consecutive rounds a destination has gone without full coverage.
 //! * [`ChurnController`] — the loop closure: when observed link quality
@@ -26,12 +32,14 @@
 //!
 //! **Equivalence contract**: with a reliable delivery model (or loss
 //! probability 0) and any retry policy, every message is delivered on its
-//! first attempt, the degraded replay includes every op in the compiled
-//! order, and [`FaultOutcome::results`] / [`FaultOutcome::cost`] are
+//! first attempt, settle takes the exact compiled fold, and
+//! [`FaultOutcome::results`] / [`FaultOutcome::cost`] are
 //! **bit-identical** to [`CompiledSchedule::run_round`] — the same float
 //! associativity, the same cost accumulation order. The property test
 //! `tests/fault_equivalence.rs` pins this across routing modes and thread
-//! counts.
+//! counts. Under loss, each destination's result is the reference
+//! aggregate over exactly the sources its coverage row names
+//! (`tests/lossy_oracle.rs`, for both runtimes).
 
 use std::collections::BTreeMap;
 
@@ -39,7 +47,7 @@ use m2m_graph::NodeId;
 use m2m_netsim::quality::LinkQuality;
 use m2m_netsim::{DeliveryModel, Network};
 
-use crate::agg::PartialRecord;
+use crate::agg::{AggregateKind, PartialRecord};
 use crate::exec::{fold_ops, CompiledSchedule, Op};
 use crate::metrics::RoundCost;
 use crate::parallel;
@@ -61,7 +69,8 @@ pub struct RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// Unlimited retries, no backoff — the legacy resilience semantics.
+    /// Unlimited retries, no backoff: the §3 reliable-hop discipline, cut
+    /// off only by the slot budget.
     pub const fn unlimited(max_slots: u32) -> Self {
         RetryPolicy {
             max_attempts: 0,
@@ -86,23 +95,24 @@ impl Default for RetryPolicy {
     }
 }
 
-/// One message's precomputed execution facts. Shared with
-/// [`crate::sim`], whose event-driven runtime replays the same static
-/// message graph under a different clock.
+/// One message's precomputed execution facts. The link and sender slot
+/// are shared with [`crate::sim`], whose event wheel delivers the same
+/// static message graph under a different clock.
 #[derive(Clone, Debug)]
 pub(crate) struct MessageFacts {
     pub(crate) edge: (NodeId, NodeId),
-    pub(crate) unit_count: usize,
-    pub(crate) body: u32,
+    unit_count: usize,
+    body: u32,
     /// Energy of one transmission attempt / one successful reception.
-    pub(crate) tx_uj: f64,
-    pub(crate) rx_uj: f64,
+    tx_uj: f64,
+    rx_uj: f64,
     /// Range into [`FaultyExec::pred_pool`].
-    pub(crate) preds: (u32, u32),
+    preds: (u32, u32),
     /// Dense slots of `edge.0` / `edge.1` in [`FaultyExec::plane_ids`],
-    /// precomputed so the per-node plane update is two array stores.
+    /// precomputed so the per-node plane update is two array stores (the
+    /// sender's slot is also its component in [`crate::sim`]).
     pub(crate) tail_slot: u32,
-    pub(crate) head_slot: u32,
+    head_slot: u32,
 }
 
 /// One link's failure summary for one round: `failures` transmission
@@ -186,20 +196,24 @@ impl FaultOutcome {
 /// Reusable scratch for [`FaultyExec::run`] — allocate once (per worker),
 /// run any number of rounds without further allocation (outcomes excepted).
 ///
+/// `delivered` / `dropped` / `attempts` are the round's delivery record:
+/// Phase A (the TDMA slot sweep, or the event wheel in [`crate::sim`])
+/// writes them, and the settle pass reads them.
+///
 /// When observability is on ([`m2m_telemetry::timeseries::obs_enabled`]),
 /// `planes` accumulates this worker's per-node counters locally; dropping
 /// the scratch — end of a worker's chunk, end of a serial run — flushes
 /// them into the process-wide plane registry.
 #[derive(Clone, Debug, Default)]
 pub struct FaultScratch {
-    delivered: Vec<bool>,
-    dropped: Vec<bool>,
-    attempts: Vec<u32>,
+    pub(crate) delivered: Vec<bool>,
+    pub(crate) dropped: Vec<bool>,
+    pub(crate) attempts: Vec<u32>,
     next_attempt: Vec<u32>,
-    readings: Vec<f64>,
     records: Vec<Option<PartialRecord>>,
-    gate_ok: Vec<bool>,
+    /// Per unit / per destination source-coverage rows (`words` each).
     unit_cover: Vec<u64>,
+    cover: Vec<u64>,
     tmp_cover: Vec<u64>,
     planes: m2m_telemetry::timeseries::NodePlanes,
 }
@@ -215,7 +229,7 @@ impl Drop for FaultScratch {
 /// slot assignment, message-level dependency graph, and an *op gate*
 /// table mapping every compiled op to the message unit whose delivery it
 /// depends on. Built once per plan; see the module docs for the two-phase
-/// round (delivery simulation, then degraded replay).
+/// round (delivery simulation, then the settle pass).
 #[derive(Clone, Debug)]
 pub struct FaultyExec {
     compiled: CompiledSchedule,
@@ -413,18 +427,20 @@ impl FaultyExec {
             demanded_bits: Vec::new(),
             demanded: Vec::new(),
         };
-        // Full-delivery replay fixes each destination's demanded set.
+        // A full-delivery degraded fold fixes each destination's demanded
+        // set. Only its coverage rows are kept; the readings just have to
+        // be valid for every aggregate kind (the geometric mean needs
+        // positive values).
         let mut scratch = this.scratch();
-        scratch.delivered.resize(this.messages.len(), true);
         scratch.delivered.fill(true);
-        scratch.dropped.resize(this.messages.len(), false);
-        let mut demanded_bits = vec![0u64; this.compiled.dest_steps.len() * words];
-        this.replay_coverage(&mut scratch, &mut demanded_bits);
-        this.demanded = demanded_bits
+        let ones = vec![1.0; this.compiled.sources.len()];
+        this.fold_degraded(&ones, &mut scratch);
+        this.demanded = scratch
+            .cover
             .chunks(words)
             .map(|row| row.iter().map(|w| w.count_ones() as usize).sum())
             .collect();
-        this.demanded_bits = demanded_bits;
+        this.demanded_bits = std::mem::take(&mut scratch.cover);
         crate::m2m_log!(
             crate::telemetry::Level::Debug,
             "fault exec compiled: {} messages, {} ops gated, {} slot makespan",
@@ -454,10 +470,9 @@ impl FaultyExec {
             dropped: vec![false; self.messages.len()],
             attempts: vec![0; self.messages.len()],
             next_attempt: vec![0; self.messages.len()],
-            readings: vec![0.0; self.compiled.sources.len()],
             records: vec![None; self.compiled.unit_count],
-            gate_ok: vec![false; self.op_gate.len()],
             unit_cover: vec![0; self.compiled.unit_count * self.words],
+            cover: vec![0; self.compiled.dest_steps.len() * self.words],
             tmp_cover: vec![0; self.words],
             planes: m2m_telemetry::timeseries::NodePlanes::for_ids(self.plane_ids.clone()),
         }
@@ -583,74 +598,19 @@ impl FaultyExec {
         cost
     }
 
-    /// Phase B (coverage half): replays the op stream over the delivery
-    /// outcome in `scratch.delivered`, filling `cover` with one
-    /// source-coverage bitset row per destination. Also maintains the
-    /// per-unit rows in `scratch.unit_cover`.
-    fn replay_coverage(&self, scratch: &mut FaultScratch, cover: &mut [u64]) {
-        let words = self.words;
-        scratch.unit_cover.fill(0);
-        for step in &self.compiled.record_steps {
-            scratch.tmp_cover.fill(0);
-            let base = step.first_op as usize;
-            for k in 0..step.op_count as usize {
-                let gate = self.op_gate[base + k];
-                match self.compiled.ops.get(base + k) {
-                    Op::Pre { slot, .. } => {
-                        if self.gate_open(gate, scratch) {
-                            scratch.tmp_cover[slot as usize / 64] |= 1 << (slot % 64);
-                        }
-                    }
-                    Op::FromUnit { unit } => {
-                        if self.gate_open(gate, scratch) {
-                            let src = unit as usize * words;
-                            for w in 0..words {
-                                scratch.tmp_cover[w] |= scratch.unit_cover[src + w];
-                            }
-                        }
-                    }
-                }
-            }
-            let dst = step.unit as usize * words;
-            scratch.unit_cover[dst..dst + words].copy_from_slice(&scratch.tmp_cover);
-        }
-        for (i, step) in self.compiled.dest_steps.iter().enumerate() {
-            scratch.tmp_cover.fill(0);
-            let base = step.first_op as usize;
-            for k in 0..step.op_count as usize {
-                let gate = self.op_gate[base + k];
-                match self.compiled.ops.get(base + k) {
-                    Op::Pre { slot, .. } => {
-                        if self.gate_open(gate, scratch) {
-                            scratch.tmp_cover[slot as usize / 64] |= 1 << (slot % 64);
-                        }
-                    }
-                    Op::FromUnit { unit } => {
-                        if self.gate_open(gate, scratch) {
-                            let src = unit as usize * words;
-                            for w in 0..words {
-                                scratch.tmp_cover[w] |= scratch.unit_cover[src + w];
-                            }
-                        }
-                    }
-                }
-            }
-            cover[i * words..(i + 1) * words].copy_from_slice(&scratch.tmp_cover);
-        }
-    }
-
-    /// True if the datum behind `gate` is present: locally available, or
-    /// its carrying unit's message was delivered — and, for a raw datum,
-    /// every upstream hop of its relay chain too (a node cannot forward a
-    /// raw value it never received; record units re-form at each hop, so
-    /// they gate on their own hop alone).
-    fn gate_open(&self, gate: u32, scratch: &FaultScratch) -> bool {
+    /// True if the datum behind `gate` is present in the delivery record
+    /// `delivered`: locally available, or its carrying unit's message was
+    /// delivered — and, for a raw datum, every upstream hop of its relay
+    /// chain too (a node cannot forward a raw value it never received;
+    /// record units re-form at each hop, so they gate on their own hop
+    /// alone).
+    fn gate_open(&self, gate: u32, delivered: &[bool]) -> bool {
         if gate == u32::MAX {
             return true;
         }
         let mut unit = gate;
         loop {
-            if !scratch.delivered[self.message_of[unit as usize] as usize] {
+            if !delivered[self.message_of[unit as usize] as usize] {
                 return false;
             }
             match self.raw_parent[unit as usize] {
@@ -660,30 +620,42 @@ impl FaultyExec {
         }
     }
 
-    /// Left-folds one op run like [`fold_ops`], but skipping ops whose
-    /// gate is closed (see `scratch.gate_ok`) or whose source record came
-    /// up empty. Identical to [`fold_ops`] when every gate is open.
-    fn fold_degraded(
+    /// Left-folds one op run like [`fold_ops`], skipping ops whose gate
+    /// is closed or whose source record came up empty, and accumulates
+    /// the run's source-coverage row in `scratch.tmp_cover` on the same
+    /// walk — one gate resolution per op. Identical to [`fold_ops`] when
+    /// every gate is open.
+    fn fold_step(
         &self,
         first_op: u32,
         op_count: u32,
-        kind: crate::agg::AggregateKind,
-        scratch: &FaultScratch,
+        kind: AggregateKind,
+        readings: &[f64],
+        scratch: &mut FaultScratch,
     ) -> Option<PartialRecord> {
+        let words = self.words;
+        scratch.tmp_cover.fill(0);
         let base = first_op as usize;
         let mut acc: Option<PartialRecord> = None;
         for k in base..base + op_count as usize {
-            if !scratch.gate_ok[k] {
+            if !self.gate_open(self.op_gate[k], &scratch.delivered) {
                 continue;
             }
             let part = match self.compiled.ops.get(k) {
                 Op::Pre { slot, alpha } => {
-                    kind.pre_aggregate_weighted(alpha, scratch.readings[slot as usize])
+                    scratch.tmp_cover[slot as usize / 64] |= 1 << (slot % 64);
+                    kind.pre_aggregate_weighted(alpha, readings[slot as usize])
                 }
-                Op::FromUnit { unit } => match scratch.records[unit as usize] {
-                    Some(r) => r,
-                    None => continue, // delivered, but nothing survived upstream
-                },
+                Op::FromUnit { unit } => {
+                    let src = unit as usize * words;
+                    for w in 0..words {
+                        scratch.tmp_cover[w] |= scratch.unit_cover[src + w];
+                    }
+                    match scratch.records[unit as usize] {
+                        Some(r) => r,
+                        None => continue, // delivered, but nothing survived upstream
+                    }
+                }
             };
             acc = Some(match acc {
                 None => part,
@@ -693,8 +665,65 @@ impl FaultyExec {
         acc
     }
 
+    /// The degraded dataflow: folds every op run in the compiled order
+    /// (record steps topologically, then destinations ascending) over the
+    /// delivery record in `scratch`, leaving one source-coverage row per
+    /// destination in `scratch.cover`. Every record step writes its record
+    /// and coverage row before any later step reads them, so the scratch
+    /// needs no clearing between rounds.
+    fn fold_degraded(&self, readings: &[f64], scratch: &mut FaultScratch) -> Vec<Option<f64>> {
+        let words = self.words;
+        for step in &self.compiled.record_steps {
+            let acc = self.fold_step(step.first_op, step.op_count, step.kind, readings, scratch);
+            scratch.records[step.unit as usize] = acc;
+            let dst = step.unit as usize * words;
+            scratch.unit_cover[dst..dst + words].copy_from_slice(&scratch.tmp_cover);
+        }
+        let mut results = Vec::with_capacity(self.compiled.dest_steps.len());
+        for (i, step) in self.compiled.dest_steps.iter().enumerate() {
+            let acc = self.fold_step(step.first_op, step.op_count, step.kind, readings, scratch);
+            results.push(acc.map(|r| step.kind.evaluate_record(r)));
+            scratch.cover[i * words..(i + 1) * words].copy_from_slice(&scratch.tmp_cover);
+        }
+        results
+    }
+
+    /// Per-destination coverage from one source-coverage row per
+    /// destination (`cover`, row-major): covered counts against the
+    /// demanded sets, and the demanded sources that did not arrive.
+    fn coverage(&self, cover: &[u64]) -> Vec<DestCoverage> {
+        let words = self.words;
+        self.compiled
+            .dest_steps
+            .iter()
+            .enumerate()
+            .map(|(i, step)| {
+                let row = &cover[i * words..(i + 1) * words];
+                let demanded_row = &self.demanded_bits[i * words..(i + 1) * words];
+                let covered: usize = row.iter().map(|w| w.count_ones() as usize).sum();
+                let mut missing = Vec::new();
+                if covered < self.demanded[i] {
+                    for (w, (&have, &want)) in row.iter().zip(demanded_row).enumerate() {
+                        let mut lost = want & !have;
+                        while lost != 0 {
+                            let bit = lost.trailing_zeros() as usize;
+                            missing.push(self.compiled.sources.id(w * 64 + bit));
+                            lost &= lost - 1;
+                        }
+                    }
+                }
+                DestCoverage {
+                    destination: step.dest,
+                    covered,
+                    demanded: self.demanded[i],
+                    missing,
+                }
+            })
+            .collect()
+    }
+
     /// Runs one fault-tolerant round: delivery simulation under `model`
-    /// and `policy`, then the degraded replay over `readings` (dense, in
+    /// and `policy`, then the settle pass over `readings` (dense, in
     /// [`CompiledSchedule::sources`] slot order). `round_salt`
     /// decorrelates this round's losses from other rounds'.
     ///
@@ -721,9 +750,27 @@ impl FaultyExec {
             self.messages.len(),
             "scratch/executor mismatch"
         );
-        scratch.readings.copy_from_slice(readings);
         let (slots_used, retransmissions, dropped) =
             self.simulate_delivery(model, policy, round_salt, scratch);
+        self.settle(readings, scratch, slots_used, retransmissions, dropped)
+    }
+
+    /// Phase B, shared by both lossy runtimes: turns the delivery record
+    /// in `scratch` (`delivered` / `dropped` / `attempts`, from
+    /// [`FaultyExec::simulate_delivery`] or the event wheel in
+    /// [`crate::sim`]) and its round totals into the [`FaultOutcome`].
+    /// Cost, link events and the per-node planes come from the record;
+    /// results and coverage from one degraded fold over the op stream, or
+    /// — with everything delivered — the exact compiled fold, which is
+    /// bit-identical to [`CompiledSchedule::run_round`].
+    pub(crate) fn settle(
+        &self,
+        readings: &[f64],
+        scratch: &mut FaultScratch,
+        slots_used: u32,
+        retransmissions: usize,
+        dropped: usize,
+    ) -> FaultOutcome {
         crate::telemetry::counter(names::FAULTS_RETRANSMISSIONS, retransmissions as u64);
         crate::telemetry::counter(names::FAULTS_DROPPED_MESSAGES, dropped as u64);
         if m2m_telemetry::timeseries::obs_enabled() {
@@ -737,8 +784,7 @@ impl FaultyExec {
         let mut link_events: Vec<LinkEvent> = Vec::new();
         if retransmissions > 0 || dropped > 0 {
             for (m, msg) in self.messages.iter().enumerate() {
-                let attempts = scratch.attempts[m];
-                let failures = attempts - u32::from(scratch.delivered[m]);
+                let failures = scratch.attempts[m] - u32::from(scratch.delivered[m]);
                 if failures > 0 {
                     link_events.push(LinkEvent {
                         tail: msg.edge.0,
@@ -750,89 +796,39 @@ impl FaultyExec {
             }
         }
 
-        // Degraded dataflow: fold each op run in the compiled order,
-        // skipping ops whose gate is closed (or whose source record ended
-        // up empty). With everything delivered this includes every op and
-        // is bit-identical to `CompiledSchedule::run_round`.
-        scratch.records.fill(None);
-        let mut results: Vec<Option<f64>> = Vec::with_capacity(self.compiled.dest_steps.len());
-        if delivered_all {
+        let (results, coverage) = if delivered_all {
             // Fast path: nothing lost — the exact compiled fold.
             for step in &self.compiled.record_steps {
-                let acc = fold_ops(
+                scratch.records[step.unit as usize] = fold_ops(
                     step.kind,
                     &self.compiled.ops,
                     step.first_op as usize,
                     step.op_count as usize,
-                    &scratch.readings,
+                    readings,
                     &scratch.records,
                 );
-                scratch.records[step.unit as usize] = acc;
             }
-            for step in &self.compiled.dest_steps {
-                let acc = fold_ops(
-                    step.kind,
-                    &self.compiled.ops,
-                    step.first_op as usize,
-                    step.op_count as usize,
-                    &scratch.readings,
-                    &scratch.records,
-                );
-                results.push(acc.map(|r| step.kind.evaluate_record(r)));
-            }
+            let results = self
+                .compiled
+                .dest_steps
+                .iter()
+                .map(|step| {
+                    fold_ops(
+                        step.kind,
+                        &self.compiled.ops,
+                        step.first_op as usize,
+                        step.op_count as usize,
+                        readings,
+                        &scratch.records,
+                    )
+                    .map(|r| step.kind.evaluate_record(r))
+                })
+                .collect();
+            (results, self.coverage(&self.demanded_bits))
         } else {
-            // Resolve every gate once, then fold without re-touching the
-            // delivery state (keeps the record-table borrow simple).
-            for k in 0..self.op_gate.len() {
-                let ok = self.gate_open(self.op_gate[k], scratch);
-                scratch.gate_ok[k] = ok;
-            }
-            for step in &self.compiled.record_steps {
-                let acc = self.fold_degraded(step.first_op, step.op_count, step.kind, scratch);
-                scratch.records[step.unit as usize] = acc;
-            }
-            for step in &self.compiled.dest_steps {
-                let acc = self.fold_degraded(step.first_op, step.op_count, step.kind, scratch);
-                results.push(acc.map(|r| step.kind.evaluate_record(r)));
-            }
-        }
-
-        // Coverage accounting.
-        let words = self.words;
-        let mut cover = vec![0u64; self.compiled.dest_steps.len() * words];
-        if delivered_all {
-            cover.copy_from_slice(&self.demanded_bits);
-        } else {
-            self.replay_coverage(scratch, &mut cover);
-        }
-        let coverage: Vec<DestCoverage> = self
-            .compiled
-            .dest_steps
-            .iter()
-            .enumerate()
-            .map(|(i, step)| {
-                let row = &cover[i * words..(i + 1) * words];
-                let demanded_row = &self.demanded_bits[i * words..(i + 1) * words];
-                let covered: usize = row.iter().map(|w| w.count_ones() as usize).sum();
-                let mut missing = Vec::new();
-                if covered < self.demanded[i] {
-                    for (w, (&have, &want)) in row.iter().zip(demanded_row).enumerate() {
-                        let mut lost = want & !have;
-                        while lost != 0 {
-                            let bit = lost.trailing_zeros() as usize;
-                            missing.push(self.compiled.sources.id(w * 64 + bit));
-                            lost &= lost - 1;
-                        }
-                    }
-                }
-                DestCoverage {
-                    destination: step.dest,
-                    covered,
-                    demanded: self.demanded[i],
-                    missing,
-                }
-            })
-            .collect();
+            let results = self.fold_degraded(readings, scratch);
+            (results, self.coverage(&scratch.cover))
+        };
         let degraded = coverage.iter().filter(|c| !c.complete()).count();
         crate::telemetry::counter(names::FAULTS_DEGRADED_DESTINATIONS, degraded as u64);
 
@@ -875,24 +871,6 @@ impl FaultyExec {
         self.run(&dense, model, policy, round_salt, scratch)
     }
 
-    /// Delivery simulation only — no readings, no dataflow. Returns the
-    /// legacy resilience view of the round: makespan, retransmissions,
-    /// cost, and whether everything was delivered. This is what
-    /// [`crate::resilience`] is built on.
-    pub fn run_delivery_only(
-        &self,
-        model: &DeliveryModel,
-        policy: &RetryPolicy,
-        round_salt: u64,
-        scratch: &mut FaultScratch,
-    ) -> (u32, usize, usize, RoundCost, bool) {
-        let (slots_used, retransmissions, dropped) =
-            self.simulate_delivery(model, policy, round_salt, scratch);
-        let cost = self.accumulate_cost(scratch);
-        let delivered = scratch.delivered.iter().all(|&d| d);
-        (slots_used, retransmissions, dropped, cost, delivered)
-    }
-
     /// Runs one round per entry of `rounds` (dense reading vectors)
     /// across up to `threads` workers, salting round `i` with
     /// `base_salt + i * SALT_STRIDE`. Results come back in input order, so
@@ -918,10 +896,9 @@ impl FaultyExec {
     }
 
     // ------------------------------------------------------------------
-    // Crate-internal views of the compiled static tables, shared with the
-    // event-driven runtime in [`crate::sim`]: the message graph, op gates,
-    // relay chains, and coverage universe are clock-independent, so the
-    // simulator reuses them instead of re-deriving its own.
+    // Crate-internal views of the static message graph, shared with the
+    // event-driven runtime in [`crate::sim`], which only decides delivery
+    // and hands the record to [`FaultyExec::settle`].
     // ------------------------------------------------------------------
 
     /// Per-message execution facts, in schedule message order.
@@ -937,59 +914,10 @@ impl FaultyExec {
         &self.pred_pool[a as usize..b as usize]
     }
 
-    /// Unit index → message index table.
-    #[inline]
-    pub(crate) fn unit_message(&self) -> &[u32] {
-        &self.message_of
-    }
-
-    /// Op-aligned gate table (see [`FaultyExec::op_gate`]).
-    #[inline]
-    pub(crate) fn op_gates(&self) -> &[u32] {
-        &self.op_gate
-    }
-
-    /// Bitset words per coverage row.
-    #[inline]
-    pub(crate) fn cover_words(&self) -> usize {
-        self.words
-    }
-
-    /// Per-destination demanded-source bitsets (row-major).
-    #[inline]
-    pub(crate) fn demanded_rows(&self) -> &[u64] {
-        &self.demanded_bits
-    }
-
-    /// Per-destination demanded-source counts.
-    #[inline]
-    pub(crate) fn demanded_counts(&self) -> &[usize] {
-        &self.demanded
-    }
-
     /// Sorted per-node plane universe (message endpoints as `u64` ids).
     #[inline]
     pub(crate) fn plane_universe(&self) -> &[u64] {
         &self.plane_ids
-    }
-
-    /// [`FaultyExec::gate_open`] against an external delivered table —
-    /// the simulator keeps its own delivery state.
-    #[inline]
-    pub(crate) fn gate_open_in(&self, gate: u32, delivered: &[bool]) -> bool {
-        if gate == u32::MAX {
-            return true;
-        }
-        let mut unit = gate;
-        loop {
-            if !delivered[self.message_of[unit as usize] as usize] {
-                return false;
-            }
-            match self.raw_parent[unit as usize] {
-                NOT_RAW | RAW_ORIGIN => return true,
-                parent => unit = parent,
-            }
-        }
     }
 }
 
@@ -1215,6 +1143,7 @@ mod tests {
                 assert!(out.delivered);
                 assert_eq!(out.retransmissions, 0);
                 assert_eq!(out.dropped_messages, 0);
+                assert_eq!(out.slots_used, faulty.slot_schedule().slot_count);
                 assert_eq!(out.cost, plain_cost, "{mode:?}: cost must be bitwise equal");
                 let exact: Vec<Option<f64>> = state.results().iter().map(|&r| Some(r)).collect();
                 assert_eq!(
@@ -1280,6 +1209,40 @@ mod tests {
         // Retransmissions burn tx energy beyond the static round.
         assert!(out.cost.tx_uj > compiled.round_cost().tx_uj);
         assert!((out.cost.rx_uj - compiled.round_cost().rx_uj).abs() < 1e-9);
+
+        // Mean round energy grows with the loss rate, and every round
+        // still delivers.
+        let mut previous = 0.0;
+        for p in [0.0, 0.2, 0.4] {
+            let model = DeliveryModel::uniform(p, 9);
+            let mut energy = 0.0;
+            for r in 0..10u64 {
+                let out = faulty.run(
+                    &readings,
+                    &model,
+                    &RetryPolicy::unlimited(10_000),
+                    r * SALT_STRIDE,
+                    &mut scratch,
+                );
+                assert!(out.delivered, "p={p} must still deliver eventually");
+                energy += out.cost.total_uj();
+            }
+            assert!(energy >= previous, "energy must grow with p (p={p})");
+            previous = energy;
+        }
+
+        // Only the slot budget stops an unlimited-retry round.
+        let out = faulty.run(
+            &readings,
+            &DeliveryModel::uniform(1.0, 2),
+            &RetryPolicy::unlimited(50),
+            3,
+            &mut scratch,
+        );
+        assert!(!out.delivered);
+        assert_eq!(out.cost.messages, 0);
+        assert!(out.retransmissions > 0);
+        assert_eq!(out.dropped_messages, 0, "unlimited retries never abandon");
     }
 
     #[test]
@@ -1293,6 +1256,13 @@ mod tests {
             AggregateFunction::weighted_sum([(NodeId(0), 1.0), (NodeId(3), 1.0)]),
         );
         let compiled = compile(&net, &s, RoutingMode::ShortestPathTrees);
+        // Every link of a line is a bridge: no message has a detour.
+        let critical = m2m_graph::bridges::bridges(net.graph());
+        assert_eq!(critical.len(), 4);
+        for msg in &compiled.schedule().messages {
+            let (a, b) = msg.edge;
+            assert!(critical.binary_search(&(a.min(b), a.max(b))).is_ok());
+        }
         let faulty = FaultyExec::new(&net, &compiled);
         let trace = FailureTrace::new().down(NodeId(0), NodeId(1), 0, u64::MAX);
         let model = DeliveryModel::trace(trace);
@@ -1340,8 +1310,14 @@ mod tests {
                 "threads={threads}"
             );
         }
-        // And rerunning gives the same outcomes (seeded, replayable).
+        // And rerunning gives the same outcomes (seeded, replayable),
+        // whether the scratch is reused or fresh each round.
         assert_eq!(faulty.run_rounds(&rounds, &model, &policy, 99, 4), serial);
+        for (i, readings) in rounds.iter().enumerate() {
+            let salt = 99 + i as u64 * SALT_STRIDE;
+            let fresh = faulty.run(readings, &model, &policy, salt, &mut faulty.scratch());
+            assert_eq!(fresh, serial[i], "round {i}");
+        }
     }
 
     #[test]

@@ -463,8 +463,10 @@ impl PlanService {
     /// session is built.
     ///
     /// # Errors
-    /// Returns a message naming the first malformed line, a network
-    /// mismatch, or a plan slab that fails validation.
+    /// Returns a message naming the first malformed line (including a
+    /// node id outside the network or a function without sources), a
+    /// network mismatch, or a plan slab that fails validation. Counts in
+    /// the text are never trusted for allocation.
     pub fn restore(
         network: impl Into<Arc<Network>>,
         config: Config,
@@ -492,29 +494,34 @@ impl PlanService {
             let runtime = Runtime::parse(&rt_str).ok_or(format!("unknown runtime '{rt_str}'"))?;
             let base_salt: u64 = parse_kv(lines.next(), "base_salt")?;
             let rounds_run: u64 = parse_kv(lines.next(), "rounds_run")?;
+            // Counts are untrusted: nothing is reserved from them, so a
+            // vector only grows with tokens actually present in the text.
             let function_count: usize = parse_kv(lines.next(), "functions")?;
             let mut spec = AggregationSpec::new();
             for _ in 0..function_count {
                 let line = lines.next().ok_or("truncated checkpoint: function")?;
                 let mut tok = line.split_whitespace();
                 expect_tok(&mut tok, "function")?;
-                let dest = NodeId(next_num(&mut tok, "function destination")? as u32);
+                let dest = next_node(&mut tok, "function destination", nodes)?;
                 let kind_str = tok.next().ok_or("function missing kind")?;
                 let kind = kind_parse(kind_str).ok_or(format!("unknown kind '{kind_str}'"))?;
-                let n = next_num(&mut tok, "function source count")? as usize;
-                let mut weights = Vec::with_capacity(n);
+                let n = next_num(&mut tok, "function source count")?;
+                let mut weights = Vec::new();
                 for _ in 0..n {
-                    let s = NodeId(next_num(&mut tok, "function source")? as u32);
+                    let s = next_node(&mut tok, "function source", nodes)?;
                     let bits = next_num(&mut tok, "function weight bits")?;
                     weights.push((s, f64::from_bits(bits)));
+                }
+                if weights.is_empty() {
+                    return Err(format!("function for {dest} has no sources"));
                 }
                 spec.add_function(dest, AggregateFunction::new(kind, weights));
             }
             let solution_count: usize = parse_kv(lines.next(), "solutions")?;
-            let mut solutions = Vec::with_capacity(solution_count);
+            let mut solutions = Vec::new();
             for _ in 0..solution_count {
                 let line = lines.next().ok_or("truncated checkpoint: solution")?;
-                solutions.push(parse_solution(line)?);
+                solutions.push(parse_solution(line, nodes)?);
             }
             let end = lines.next();
             if end != Some("end") {
@@ -653,24 +660,39 @@ fn next_num(tok: &mut std::str::SplitWhitespace<'_>, what: &str) -> Result<u64, 
         .map_err(|_| format!("malformed {what}"))
 }
 
-fn parse_solution(line: &str) -> Result<EdgeSolution, String> {
+/// The next token as a node id of the `nodes`-node network.
+fn next_node(
+    tok: &mut std::str::SplitWhitespace<'_>,
+    what: &str,
+    nodes: usize,
+) -> Result<NodeId, String> {
+    let id = next_num(tok, what)?;
+    match u32::try_from(id) {
+        Ok(v) if (v as usize) < nodes => Ok(NodeId(v)),
+        _ => Err(format!(
+            "{what}: node id {id} is not in the {nodes}-node network"
+        )),
+    }
+}
+
+fn parse_solution(line: &str, nodes: usize) -> Result<EdgeSolution, String> {
     let mut tok = line.split_whitespace();
     expect_tok(&mut tok, "solution")?;
-    let from = NodeId(next_num(&mut tok, "solution edge tail")? as u32);
-    let to = NodeId(next_num(&mut tok, "solution edge head")? as u32);
-    let nraw = next_num(&mut tok, "raw count")? as usize;
-    let mut raw = Vec::with_capacity(nraw);
+    let from = next_node(&mut tok, "solution edge tail", nodes)?;
+    let to = next_node(&mut tok, "solution edge head", nodes)?;
+    let nraw = next_num(&mut tok, "raw count")?;
+    let mut raw = Vec::new();
     for _ in 0..nraw {
-        raw.push(NodeId(next_num(&mut tok, "raw source")? as u32));
+        raw.push(next_node(&mut tok, "raw source", nodes)?);
     }
-    let nagg = next_num(&mut tok, "agg count")? as usize;
-    let mut agg = Vec::with_capacity(nagg);
+    let nagg = next_num(&mut tok, "agg count")?;
+    let mut agg = Vec::new();
     for _ in 0..nagg {
-        let destination = NodeId(next_num(&mut tok, "agg destination")? as u32);
-        let suffix_len = next_num(&mut tok, "suffix length")? as usize;
-        let mut suffix = Vec::with_capacity(suffix_len);
+        let destination = next_node(&mut tok, "agg destination", nodes)?;
+        let suffix_len = next_num(&mut tok, "suffix length")?;
+        let mut suffix = Vec::new();
         for _ in 0..suffix_len {
-            suffix.push(NodeId(next_num(&mut tok, "suffix node")? as u32));
+            suffix.push(next_node(&mut tok, "suffix node", nodes)?);
         }
         agg.push(AggGroup {
             destination,
@@ -842,5 +864,103 @@ mod tests {
         let other = Network::with_default_energy(Deployment::grid(4, 4, 10.0, 12.0));
         let err = PlanService::restore(other, Config::default(), &text).unwrap_err();
         assert!(err.contains("network"), "{err}");
+    }
+
+    /// A two-tenant checkpoint over the 5×5 grid.
+    fn checkpoint_text(net: &Arc<Network>) -> String {
+        let mut svc = PlanService::new(Arc::clone(net));
+        svc.admit(spec_seeded(net, 5));
+        svc.admit(spec_seeded(net, 6));
+        svc.checkpoint()
+    }
+
+    /// `text` with the `k`-th whitespace token (over the whole text)
+    /// replaced by `with`, or removed when `with` is empty.
+    fn replace_token(text: &str, k: usize, with: &str) -> String {
+        let mut seen = 0;
+        let mut out = String::new();
+        for line in text.lines() {
+            let toks: Vec<&str> = line
+                .split_whitespace()
+                .enumerate()
+                .filter_map(|(i, t)| match seen + i == k {
+                    true if with.is_empty() => None,
+                    true => Some(with),
+                    false => Some(t),
+                })
+                .collect();
+            seen += line.split_whitespace().count();
+            out.push_str(&toks.join(" "));
+            out.push('\n');
+        }
+        out
+    }
+
+    #[test]
+    fn restore_rejects_huge_counts_and_ids_beyond_u32() {
+        let net = Arc::new(network());
+        let text = checkpoint_text(&net);
+        let restore = |t: &str| PlanService::restore(Arc::clone(&net), Config::default(), t);
+        assert!(restore(&text).is_ok());
+        // A function's source count (the token after its kind) and a
+        // solution's raw count, each blown up far past the text.
+        let tokens: Vec<&str> = text.split_whitespace().collect();
+        let function = tokens.iter().position(|&t| t == "function").unwrap();
+        let solution = tokens.iter().position(|&t| t == "solution").unwrap();
+        for k in [function + 3, solution + 3] {
+            for huge in ["1152921504606846976", "18446744073709551615"] {
+                let err = restore(&replace_token(&text, k, huge)).unwrap_err();
+                assert!(
+                    err.contains("missing") || err.contains("malformed"),
+                    "{err}"
+                );
+            }
+        }
+        // A node id that only fits after truncating to 32 bits.
+        let dest: u64 = tokens[function + 1].parse().unwrap();
+        let wrapped = (dest + (1u64 << 32)).to_string();
+        let err = restore(&replace_token(&text, function + 1, &wrapped)).unwrap_err();
+        assert!(err.contains("node id"), "{err}");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(128))]
+
+        /// Restore never panics on mutated checkpoint text, and any
+        /// truncation short of the final newline is an error.
+        #[test]
+        fn restore_never_panics_on_mutated_or_truncated_text(
+            token in 0usize..100_000,
+            pick in 0usize..8,
+            cut in 0usize..100_000,
+        ) {
+            let net = Arc::new(network());
+            let text = checkpoint_text(&net);
+            let restore = |t: &str| {
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    PlanService::restore(Arc::clone(&net), Config::default(), t)
+                }))
+            };
+            let k = token % text.split_whitespace().count();
+            let with = [
+                "18446744073709551615",
+                "4294967296",
+                "1152921504606846976",
+                "0",
+                "7",
+                "x",
+                "",
+                "-1",
+            ][pick];
+            let mutated = replace_token(&text, k, with);
+            proptest::prop_assert!(restore(&mutated).is_ok(), "panicked: token {} -> {:?}", k, with);
+            let cut = cut % (text.len() - 1);
+            let truncated = restore(&text[..cut]);
+            proptest::prop_assert!(
+                matches!(truncated, Ok(Err(_))),
+                "truncation at byte {} did not return Err",
+                cut
+            );
+        }
     }
 }

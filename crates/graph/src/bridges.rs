@@ -3,8 +3,8 @@
 //! A bridge is an edge whose removal disconnects the graph. For the
 //! failure analysis of §3 these are the links with *no* runtime detour:
 //! milestone routing cannot route around them, so a deployment review
-//! should flag them (and the resilience simulator treats them as the
-//! dominant risk). Classic Tarjan low-link algorithm, implemented
+//! should flag them (`examples/failure_resilience.rs` counts the plan
+//! traffic that crosses them). Classic Tarjan low-link algorithm, implemented
 //! iteratively so deep topologies cannot overflow the stack.
 
 use crate::adjacency::Graph;
